@@ -8,8 +8,9 @@
 //! in windowed rounds bounded by conservative horizons derived from the
 //! [`Partition`]'s declared per-edge lookahead (the minimum cross-shard
 //! latency of the domain model: a link delay, a router overhead, a tick
-//! period). Cross-shard events travel through bounded channels and are
-//! merged between rounds; see [`sync`] for the protocol.
+//! period). Cross-shard events are buffered per destination during a
+//! round and merged into the destination FEL before the next round's
+//! bounds are taken; see [`sync`] for the protocol.
 //!
 //! # Determinism
 //!
@@ -65,9 +66,8 @@ use atlarge_telemetry::tracer::{EventLabel, Tracer};
 use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 
-use sync::SyncPlane;
+use sync::{Step, SyncPlane};
 use trace::{TraceBuf, TraceOp};
 
 /// Bit position of the lane in an event id: the low 32 bits count
@@ -324,13 +324,14 @@ struct Shard<L: LogicalProcess, F> {
     rngs: Vec<Option<StdRng>>,
     spare_rng: Option<StdRng>,
     /// Outgoing cross-shard events, buffered per target shard during a
-    /// round and flushed through the edge channels between rounds.
+    /// round and handed to the target shards between rounds.
     outbox: Vec<Vec<Entry<Routed<<L as LogicalProcess>::Event>>>>,
     /// Local events scheduled during a round at or beyond the round
     /// horizon: bulk-inserted (sorted) between rounds, which turns
     /// random-access FEL maintenance into a batched, ascending pass.
     staging: Vec<Entry<Routed<<L as LogicalProcess>::Event>>>,
-    /// Cross-shard arrivals picked up early by the backpressure drain.
+    /// Cross-shard arrivals of the last round, merged by
+    /// [`absorb_staged`](Shard::absorb_staged).
     inbox_hold: Vec<Entry<Routed<<L as LogicalProcess>::Event>>>,
     /// Events the current handler scheduled, classified after it
     /// returns (below-horizon → FEL now, otherwise → staging).
@@ -599,10 +600,10 @@ where
     nshards: usize,
     seed: u64,
     threads: usize,
-    channel_capacity: usize,
     root_seq: u64,
     now: f64,
     processed: u64,
+    rounds: u64,
     tracer: Option<Box<dyn Tracer>>,
     labeler: fn(&L::Event) -> &'static str,
     trace_pending: u64,
@@ -671,10 +672,10 @@ where
             nshards,
             seed,
             threads: default_threads(),
-            channel_capacity: 1024,
             root_seq: 0,
             now: 0.0,
             processed: 0,
+            rounds: 0,
             tracer: None,
             labeler: unlabeled::<L::Event>,
             trace_pending: 0,
@@ -720,12 +721,6 @@ where
     /// every thread count; this only tunes wall-clock behavior.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the bounded capacity of each cross-shard edge channel.
-    pub fn with_channel_capacity(mut self, capacity: usize) -> Self {
-        self.channel_capacity = capacity.max(1);
         self
     }
 
@@ -785,6 +780,13 @@ where
     /// Total events dispatched across all runs.
     pub fn processed(&self) -> u64 {
         self.processed
+    }
+
+    /// Total synchronization rounds across all runs: windows every
+    /// shard advanced through together. Equal on one thread and on
+    /// many; one per run on a single shard, whose horizon is infinite.
+    pub fn rounds(&self) -> u64 {
+        self.rounds
     }
 
     /// Total pending events across all shards.
@@ -867,7 +869,7 @@ where
         if workers == 1 {
             self.run_inline(horizon, &mut lbs);
         } else {
-            self.run_threaded(horizon, workers);
+            self.run_threaded(horizon, workers, &lbs);
         }
         self.processed = self.shards.iter().map(|s| s.dispatched).sum();
         let max_now = self.shards.iter().map(|s| s.now).fold(self.now, f64::max);
@@ -898,21 +900,19 @@ where
         self.processed - start
     }
 
-    /// Single-threaded driver: same windowed rounds, no channels or
+    /// Single-threaded driver: same windowed rounds, no mailboxes or
     /// barriers — outboxes are handed to their target shards directly.
     /// This is also the 1-shard path, where the horizon is infinite and
     /// execution degenerates to exactly the sealed single-queue loop.
     fn run_inline(&mut self, run_horizon: f64, lbs: &mut Vec<f64>) {
         let mut horizons = Vec::new();
         loop {
-            if sync::quiescent(lbs, run_horizon) {
-                break;
+            match sync::next_step(lbs, &self.lookahead, run_horizon, &mut horizons) {
+                Step::Round => {}
+                Step::Quiescent => break,
+                Step::Stalled(t) => assert_not_stalled(Some(t)),
             }
-            sync::conservative_horizons(lbs, &self.lookahead, &mut horizons);
-            assert_not_stalled(
-                sync::stalled(lbs, &horizons, run_horizon),
-                lbs.iter().copied().fold(f64::INFINITY, f64::min),
-            );
+            self.rounds += 1;
             let env = RoundEnv {
                 index: &self.index,
                 lookahead: &self.lookahead,
@@ -938,62 +938,31 @@ where
     /// inbox holds, keeping the buffer allocations alive.
     fn deliver_inline(&mut self) {
         for s in 0..self.nshards {
-            let taken = match self.shards.get_mut(s) {
-                Some(shard) => std::mem::take(&mut shard.outbox),
-                None => continue,
+            let Some(shard) = self.shards.get_mut(s) else {
+                continue;
             };
-            let mut returned = Vec::with_capacity(taken.len());
-            for (t, mut bucket) in taken.into_iter().enumerate() {
-                if !bucket.is_empty() {
-                    if let Some(dst) = self.shards.get_mut(t) {
-                        dst.inbox_hold.append(&mut bucket);
-                    }
-                }
-                returned.push(bucket);
+            let mut outbox = std::mem::take(&mut shard.outbox);
+            for (bucket, dst) in outbox.iter_mut().zip(self.shards.iter_mut()) {
+                dst.inbox_hold.append(bucket);
             }
             if let Some(shard) = self.shards.get_mut(s) {
-                shard.outbox = returned;
+                shard.outbox = outbox;
             }
         }
     }
 
     /// Threaded driver: workers own disjoint shard chunks and advance
-    /// in barrier-separated phases (run+flush / drain+announce /
-    /// horizon recompute). See [`sync`] for the protocol and its
-    /// safety argument.
-    fn run_threaded(&mut self, run_horizon: f64, workers: usize)
+    /// in coordinator-free, two-barrier rounds; the calling thread works
+    /// the first chunk. See [`sync`] for the protocol and its safety
+    /// argument.
+    fn run_threaded(&mut self, run_horizon: f64, workers: usize, lbs: &[f64])
     where
         L: Send,
         L::Event: Send,
         F: Send,
     {
-        let n = self.nshards;
-        let per = n.div_ceil(workers);
-        let nchunks = n.div_ceil(per);
-        let plane = SyncPlane::new(n, nchunks);
-        {
-            let mut lbs: Vec<f64> = self.shards.iter().map(Shard::lower_bound).collect();
-            if sync::quiescent(&lbs, run_horizon) {
-                return;
-            }
-            for (s, lb) in lbs.iter().enumerate() {
-                plane.set_lb(s, *lb);
-            }
-            let mut horizons = Vec::new();
-            sync::conservative_horizons(&lbs, &self.lookahead, &mut horizons);
-            // No worker threads exist yet, so panicking here is safe.
-            assert_not_stalled(
-                sync::stalled(&lbs, &horizons, run_horizon),
-                lbs.iter().copied().fold(f64::INFINITY, f64::min),
-            );
-            plane.publish_horizons(&horizons);
-            lbs.clear();
-        }
-        let chans = sync::edge_channels::<Entry<Routed<L::Event>>>(
-            n,
-            &self.lookahead,
-            self.channel_capacity,
-        );
+        let per = self.nshards.div_ceil(workers);
+        let plane = SyncPlane::new(lbs, self.nshards.div_ceil(per));
         let env = RoundEnv {
             index: &self.index,
             lookahead: &self.lookahead,
@@ -1002,77 +971,46 @@ where
             labeler: self.labeler,
             log_events: self.log_events,
         };
-        let lookahead = &self.lookahead;
         let shards = &mut self.shards;
-        // A mid-run numeric stall is detected by the coordinator, which
-        // cannot panic while workers are parked at the barrier; it marks
-        // the run done, lets everyone exit, and panics after the join.
-        let mut frozen_at: Option<f64> = None;
-        let payload: Option<Box<dyn Any + Send>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(nchunks);
-            let mut tx_rows = chans.senders.into_iter();
-            let mut rx_rows = chans.receivers.into_iter();
-            let plane_ref = &plane;
-            let mut base = 0;
-            for chunk in shards.chunks_mut(per) {
-                let len = chunk.len();
-                let tx: Vec<Vec<Option<SyncSender<_>>>> = tx_rows.by_ref().take(len).collect();
-                let rx: Vec<Vec<(usize, Receiver<_>)>> = rx_rows.by_ref().take(len).collect();
-                let chunk_base = base;
-                base += len;
-                handles.push(scope.spawn(move || {
-                    worker_loop(chunk, chunk_base, tx, rx, plane_ref, env, run_horizon)
-                }));
-            }
-            let mut lbs = Vec::new();
-            let mut horizons = Vec::new();
-            loop {
-                plane.barrier.wait(); // round start: horizons/done visible
-                if plane.is_done() {
-                    break;
-                }
-                plane.barrier.wait(); // all sends flushed
-                plane.barrier.wait(); // all LBs announced
-                plane.snapshot_lbs(&mut lbs);
-                if plane.has_panicked() || sync::quiescent(&lbs, run_horizon) {
-                    plane.mark_done();
-                } else {
-                    sync::conservative_horizons(&lbs, lookahead, &mut horizons);
-                    if sync::stalled(&lbs, &horizons, run_horizon) {
-                        frozen_at = Some(lbs.iter().copied().fold(f64::INFINITY, f64::min));
-                        plane.mark_done();
-                    } else {
-                        plane.publish_horizons(&horizons);
-                    }
-                }
-            }
-            let mut caught = None;
-            for handle in handles {
-                if let Ok(Some(p)) = handle.join() {
-                    caught = Some(p);
-                }
-            }
-            caught
+        let exits: Vec<(WorkerExit, u64)> = std::thread::scope(|scope| {
+            let plane = &plane;
+            let mut chunks = shards.chunks_mut(per).enumerate();
+            let own = chunks.next();
+            let handles: Vec<_> = chunks
+                .map(|(c, chunk)| {
+                    scope.spawn(move || worker_loop(chunk, c * per, plane, env, run_horizon))
+                })
+                .collect();
+            let own = own.map(|(_, chunk)| worker_loop(chunk, 0, plane, env, run_horizon));
+            let joined = handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| (Err(Some(p)), 0)));
+            own.into_iter().chain(joined).collect()
         });
-        if let Some(p) = payload {
-            std::panic::resume_unwind(p);
+        // Every worker ran the same rounds and reached the same verdict.
+        self.rounds += exits.first().map_or(0, |&(_, rounds)| rounds);
+        let mut frozen_at = None;
+        for (exit, _) in exits {
+            match exit {
+                Err(Some(p)) => std::panic::resume_unwind(p),
+                Ok(Step::Stalled(t)) => frozen_at = Some(t),
+                Ok(_) | Err(None) => {}
+            }
         }
-        assert_not_stalled(frozen_at.is_some(), frozen_at.unwrap_or(f64::NAN));
+        assert_not_stalled(frozen_at);
     }
 }
 
 /// API-boundary contract shared by both drivers: a numerically frozen
-/// round must abort loudly. `stalled` comes from [`sync::stalled`] —
-/// some lookahead is below half an ulp of the simulation clock at time
-/// scale `t`, so `lb + la` rounds back to `lb` and the conservative
-/// horizons can never advance past the earliest pending event; retrying
-/// the round would livelock.
-fn assert_not_stalled(stalled: bool, t: f64) {
+/// round ([`Step::Stalled`]) must abort loudly, because retrying it
+/// would livelock.
+fn assert_not_stalled(frozen_at: Option<f64>) {
     assert!(
-        !stalled,
-        "sharded run cannot advance past t={t}: a declared lookahead is below \
+        frozen_at.is_none(),
+        "sharded run cannot advance past t={}: a declared lookahead is below \
          the clock's floating-point resolution at this time scale (lb + lookahead \
-         rounds back to lb); rescale time units or enlarge the partition's lookaheads"
+         rounds back to lb); rescale time units or enlarge the partition's lookaheads",
+        frozen_at.unwrap_or(f64::NAN)
     );
 }
 
@@ -1191,162 +1129,67 @@ fn run_round<L, F>(
 
 type Payload = Box<dyn Any + Send>;
 
-/// One shard's senders toward each peer shard (`None` on self/absent
-/// edges), and its receivers tagged with the source shard.
-type EdgeTx<E> = Vec<Option<SyncSender<Entry<Routed<E>>>>>;
-type EdgeRx<E> = Vec<(usize, Receiver<Entry<Routed<E>>>)>;
+/// How a worker's round loop ended: the shared verdict, or a handler
+/// panic, whose payload only the workers that caught it carry.
+type WorkerExit = Result<Step, Option<Payload>>;
 
-/// One worker thread: runs its chunk of shards through the three-phase
-/// round protocol until the coordinator marks the run done. Panics in
-/// handlers are caught so the barriers stay populated; the first
-/// payload is returned to the coordinator and resumed there.
+/// One worker thread: runs its chunk of shards through the two-barrier
+/// round protocol (see [`sync`]) until the shared decision says stop,
+/// and returns how the loop ended with the number of rounds it ran.
+/// Handler panics are caught so both barriers stay populated; the
+/// panic flag is raised in the sync phase, where every worker reads it
+/// at the next decision.
 fn worker_loop<L, F>(
     chunk: &mut [Shard<L, F>],
     base: usize,
-    mut tx: Vec<EdgeTx<L::Event>>,
-    mut rx: Vec<EdgeRx<L::Event>>,
-    plane: &SyncPlane,
+    plane: &SyncPlane<Entry<Routed<L::Event>>>,
     env: RoundEnv<'_, L::Event>,
     run_horizon: f64,
-) -> Option<Payload>
+) -> (WorkerExit, u64)
 where
     L: LogicalProcess,
     F: FutureEventList<Routed<L::Event>>,
 {
-    let mut payload: Option<Payload> = None;
-    let mut round: u64 = 0;
+    let mut rounds = 0;
+    let mut lbs = Vec::new();
+    let mut horizons = Vec::new();
     loop {
-        plane.barrier.wait(); // round start
-        if plane.is_done() {
-            break;
+        plane.snapshot_lbs(&mut lbs);
+        if plane.has_panicked() {
+            return (Err(None), rounds);
         }
-        round += 1;
+        match sync::next_step(&lbs, env.lookahead, run_horizon, &mut horizons) {
+            Step::Round => {}
+            verdict => return (Ok(verdict), rounds),
+        }
+        rounds += 1;
+        let mut payload = catch_unwind(AssertUnwindSafe(|| {
+            for (i, shard) in chunk.iter_mut().enumerate() {
+                let s = base + i;
+                let h = horizons.get(s).copied().unwrap_or(f64::INFINITY);
+                run_round(shard, s, h, run_horizon, env);
+                plane.post(s, &mut shard.outbox);
+            }
+        }))
+        .err();
+        plane.barrier.wait(); // every mailbox posted
         if payload.is_none() {
-            let result = catch_unwind(AssertUnwindSafe(|| {
+            payload = catch_unwind(AssertUnwindSafe(|| {
                 for (i, shard) in chunk.iter_mut().enumerate() {
                     let s = base + i;
-                    run_round(shard, s, plane.horizon(s), run_horizon, env);
-                }
-                flush_outboxes(chunk, &mut tx, &mut rx);
-            }));
-            if let Err(p) = result {
-                payload = Some(p);
-                plane.mark_panicked();
-            }
-        }
-        // Sends-complete handshake: announce this worker's flush is done
-        // (or permanently abandoned, after a caught panic), then keep
-        // draining inboxes until every worker has announced. A peer
-        // blocked in try_send on a full edge channel is guaranteed a
-        // live drainer this way — in particular on edges into a
-        // panicked worker's shards, which a bare barrier wait would
-        // leave full forever.
-        plane.note_flushed();
-        while plane.sends_outstanding(round) {
-            drain_own_inboxes(chunk, &mut rx);
-            std::thread::yield_now();
-        }
-        plane.barrier.wait(); // sends complete
-        if payload.is_none() {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                for (i, shard) in chunk.iter_mut().enumerate() {
-                    if let Some(inboxes) = rx.get_mut(i) {
-                        for (_src, receiver) in inboxes.iter_mut() {
-                            while let Ok(entry) = receiver.try_recv() {
-                                shard.inbox_hold.push(entry);
-                            }
-                        }
-                    }
+                    plane.collect(s, &mut shard.inbox_hold);
                     shard.absorb_staged();
-                    plane.set_lb(base + i, shard.lower_bound());
+                    plane.set_lb(s, shard.lower_bound());
                 }
-            }));
-            if let Err(p) = result {
-                payload = Some(p);
-                plane.mark_panicked();
-            }
+            }))
+            .err();
         }
         if payload.is_some() {
-            drain_own_inboxes(chunk, &mut rx);
-            for i in 0..chunk.len() {
-                plane.set_lb(base + i, f64::INFINITY);
-            }
+            plane.mark_panicked();
         }
-        plane.barrier.wait(); // LBs announced
-    }
-    payload
-}
-
-/// Drains every receiver of this worker's shards into their inbox
-/// holds — both the backpressure-relief path during flushes and the
-/// keep-alive path after a caught panic.
-fn drain_own_inboxes<L, F>(chunk: &mut [Shard<L, F>], rx: &mut [EdgeRx<L::Event>])
-where
-    L: LogicalProcess,
-{
-    for (i, shard) in chunk.iter_mut().enumerate() {
-        if let Some(inboxes) = rx.get_mut(i) {
-            for (_src, receiver) in inboxes.iter_mut() {
-                while let Ok(entry) = receiver.try_recv() {
-                    shard.inbox_hold.push(entry);
-                }
-            }
-        }
-    }
-}
-
-/// Pushes every outbox entry of this worker's shards into the edge
-/// channels. On a full channel the worker drains its own inboxes and
-/// retries. Liveness comes from the flush-completion handshake in
-/// [`worker_loop`]: until every worker has announced its flush done,
-/// each one is either in this retry loop (draining) or spin-draining
-/// after its announcement — so a full channel always has a live
-/// drainer, even when its owner panicked or finished flushing early.
-fn flush_outboxes<L, F>(
-    chunk: &mut [Shard<L, F>],
-    tx: &mut [EdgeTx<L::Event>],
-    rx: &mut [EdgeRx<L::Event>],
-) where
-    L: LogicalProcess,
-{
-    for i in 0..chunk.len() {
-        let mut outbox = match chunk.get_mut(i) {
-            Some(shard) => std::mem::take(&mut shard.outbox),
-            None => continue,
-        };
-        for (t, bucket) in outbox.iter_mut().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let Some(sender) = tx
-                .get(i)
-                .and_then(|row| row.get(t))
-                .and_then(Option::as_ref)
-            else {
-                debug_assert!(false, "cross-shard send on undeclared edge to {t}");
-                bucket.clear();
-                continue;
-            };
-            let sender = sender.clone();
-            for mut entry in bucket.drain(..) {
-                loop {
-                    match sender.try_send(entry) {
-                        Ok(()) => break,
-                        Err(TrySendError::Full(back)) => {
-                            entry = back;
-                            drain_own_inboxes(chunk, rx);
-                            std::thread::yield_now();
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            debug_assert!(false, "edge channel closed mid-run");
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(shard) = chunk.get_mut(i) {
-            shard.outbox = outbox;
+        plane.barrier.wait(); // every LB announced
+        if let Some(p) = payload {
+            return (Err(Some(p)), rounds);
         }
     }
 }
@@ -1392,17 +1235,39 @@ mod tests {
             .collect()
     }
 
-    fn run_ring(shards: usize, threads: usize) -> (Vec<EventRecord>, Vec<u64>, f64, u64) {
-        let part = StaticPartition::round_robin(8, shards, 1.0);
-        let mut sim: ShardedSimulation<_, _> = match ShardedSimulation::new(part, ring(8, 5), 7) {
-            Ok(sim) => sim,
+    type Sim<L> = ShardedSimulation<StaticPartition, L>;
+
+    /// Builds a simulation on `threads` threads over a partition the
+    /// test knows is valid.
+    fn build<L: LogicalProcess>(
+        part: StaticPartition,
+        lps: Vec<L>,
+        seed: u64,
+        threads: usize,
+    ) -> Sim<L> {
+        match ShardedSimulation::new(part, lps, seed) {
+            Ok(sim) => sim.with_threads(threads),
             Err(e) => unreachable!("valid partition rejected: {e}"),
-        };
-        sim = sim.with_event_log().with_threads(threads);
-        for e in 0..8 {
+        }
+    }
+
+    /// A ring of `n` entities, `hops` forwards each, every entity
+    /// ticked at t = 0.5, run to exhaustion.
+    fn ring_sim(n: u32, hops: u32, shards: usize, threads: usize) -> Sim<RingNode> {
+        let part = StaticPartition::round_robin(n as usize, shards, 1.0);
+        let mut sim = build(part, ring(n, hops), 7, threads).with_event_log();
+        for e in 0..n {
             sim.schedule(0.5, e, Tick);
         }
         sim.run();
+        sim
+    }
+
+    /// The event log, checksums, end time and event count of a ring run.
+    type RingRun = (Vec<EventRecord>, Vec<u64>, f64, u64);
+
+    fn run_ring(n: u32, hops: u32, shards: usize, threads: usize) -> RingRun {
+        let mut sim = ring_sim(n, hops, shards, threads);
         let log = sim.take_event_log();
         let now = sim.now();
         let processed = sim.processed();
@@ -1412,15 +1277,39 @@ mod tests {
 
     #[test]
     fn shard_and_thread_counts_do_not_change_results() {
-        let base = run_ring(1, 1);
+        let base = run_ring(8, 5, 1, 1);
         assert_eq!(base.3, 8 * 6);
         for (shards, threads) in [(2, 1), (2, 2), (8, 1), (8, 4), (3, 2)] {
-            let got = run_ring(shards, threads);
+            let got = run_ring(8, 5, shards, threads);
             assert_eq!(
                 got, base,
                 "divergence at {shards} shards / {threads} threads"
             );
         }
+    }
+
+    #[test]
+    fn oversubscribed_threads_match_the_one_shard_log() {
+        // 8 workers on however few cores the host has: the barrier must
+        // neither livelock nor let a round start early.
+        let got = run_ring(64, 200, 8, 8);
+        assert_eq!(got.3, 64 * 201);
+        assert_eq!(got, run_ring(64, 200, 1, 1));
+    }
+
+    #[test]
+    fn inline_and_threaded_drivers_run_the_same_rounds() {
+        for (shards, threads) in [(2, 2), (3, 2), (8, 4), (8, 8)] {
+            let inline = ring_sim(8, 5, shards, 1).rounds();
+            assert!(inline > 1, "a multi-shard ring takes several rounds");
+            assert_eq!(
+                ring_sim(8, 5, shards, threads).rounds(),
+                inline,
+                "ring at {shards} shards / {threads} threads"
+            );
+        }
+        assert_eq!(ring_sim(8, 5, 1, 1).rounds(), 1);
+        assert_eq!(flood_sim(2, 2).rounds(), flood_sim(2, 1).rounds());
     }
 
     #[test]
@@ -1437,11 +1326,7 @@ mod tests {
     #[test]
     fn run_until_bounds_time_like_the_sealed_engine() {
         let part = StaticPartition::block(4, 2, 1.0);
-        let mut sim: ShardedSimulation<_, _> = match ShardedSimulation::new(part, ring(4, 10), 3) {
-            Ok(sim) => sim,
-            Err(e) => unreachable!("valid partition rejected: {e}"),
-        };
-        sim = sim.with_threads(1);
+        let mut sim = build(part, ring(4, 10), 3, 1);
         sim.schedule(0.0, 0, Tick);
         sim.run_until(3.0);
         assert_eq!(sim.now(), 3.0);
@@ -1478,7 +1363,7 @@ mod tests {
         }
     }
 
-    fn run_flood(shards: usize, threads: usize, capacity: usize) -> (Vec<EventRecord>, Vec<u64>) {
+    fn flood_sim(shards: usize, threads: usize) -> Sim<Pump> {
         let part = StaticPartition::round_robin(2, shards, 1.0);
         let lps = vec![
             Pump {
@@ -1492,34 +1377,31 @@ mod tests {
                 received: 0,
             },
         ];
-        let mut sim: ShardedSimulation<_, _> = match ShardedSimulation::new(part, lps, 11) {
-            Ok(sim) => sim,
-            Err(e) => unreachable!("valid partition rejected: {e}"),
-        };
-        sim = sim
-            .with_event_log()
-            .with_threads(threads)
-            .with_channel_capacity(capacity);
+        let mut sim = build(part, lps, 11, threads).with_event_log();
         sim.schedule(0.0, 0, Tick);
         sim.run();
+        sim
+    }
+
+    fn run_flood(shards: usize, threads: usize) -> (Vec<EventRecord>, Vec<u64>) {
+        let mut sim = flood_sim(shards, threads);
         let log = sim.take_event_log();
         let received = sim.into_lps().into_iter().map(|p| p.received).collect();
         (log, received)
     }
 
     #[test]
-    fn one_directional_floods_survive_tiny_edge_channels() {
+    fn one_directional_floods_arrive_whole() {
         // 192 events cross one edge while the receiving worker has
-        // nothing to send back: with capacity 1 its worker must keep
-        // draining after its own (empty) flush completes, or the
-        // sender spins forever at the sends-complete handshake.
-        let base = run_flood(1, 1, 1024);
+        // nothing to send back: every one must arrive, in the 1-shard
+        // order, although the receiver posts nothing of its own.
+        let base = run_flood(1, 1);
         assert_eq!(base.1, vec![3, 192]);
-        for (shards, threads, capacity) in [(2, 2, 1), (2, 1, 1), (2, 2, 4)] {
-            let got = run_flood(shards, threads, capacity);
+        for (shards, threads) in [(2, 2), (2, 1)] {
+            let got = run_flood(shards, threads);
             assert_eq!(
                 got, base,
-                "divergence at {shards} shards / {threads} threads / capacity {capacity}"
+                "divergence at {shards} shards / {threads} threads"
             );
         }
     }
@@ -1536,12 +1418,7 @@ mod tests {
             }
         }
         let part = StaticPartition::round_robin(4, 4, 1.0);
-        let mut sim: ShardedSimulation<_, _> =
-            match ShardedSimulation::new(part, vec![Bomb, Bomb, Bomb, Bomb], 1) {
-                Ok(sim) => sim,
-                Err(e) => unreachable!("valid partition rejected: {e}"),
-            };
-        sim = sim.with_threads(4);
+        let mut sim = build(part, vec![Bomb, Bomb, Bomb, Bomb], 1, 4);
         sim.schedule(0.0, 2, Go);
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
             sim.run();
@@ -1549,12 +1426,12 @@ mod tests {
         assert!(caught.is_err());
     }
 
-    /// Entity 0 floods shard 1 through a capacity-1 channel in the same
-    /// round that shard 1's only entity panics: the panicked worker
-    /// must keep draining that edge until the flooder's flush is
-    /// announced complete, or `run()` hangs instead of re-panicking.
+    /// Entity 0 floods shard 1 in the same round that shard 1's only
+    /// entity panics: the flooder's worker must still get past both
+    /// barriers and leave at the shared decision, or `run()` hangs
+    /// instead of re-panicking.
     #[test]
-    fn panics_with_flooded_edge_channels_do_not_deadlock() {
+    fn panics_mid_flood_do_not_deadlock() {
         struct FloodOrBomb {
             flood_to: Option<u32>,
         }
@@ -1578,11 +1455,7 @@ mod tests {
             FloodOrBomb { flood_to: Some(1) },
             FloodOrBomb { flood_to: None },
         ];
-        let mut sim: ShardedSimulation<_, _> = match ShardedSimulation::new(part, lps, 1) {
-            Ok(sim) => sim,
-            Err(e) => unreachable!("valid partition rejected: {e}"),
-        };
-        sim = sim.with_threads(2).with_channel_capacity(1);
+        let mut sim = build(part, lps, 1, 2);
         sim.schedule(0.0, 0, Poke);
         sim.schedule(0.0, 1, Poke);
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -1598,12 +1471,7 @@ mod tests {
     fn sub_ulp_lookaheads_panic_instead_of_livelocking() {
         for threads in [1, 2] {
             let part = StaticPartition::round_robin(2, 2, 1.0);
-            let mut sim: ShardedSimulation<_, _> = match ShardedSimulation::new(part, ring(2, 1), 1)
-            {
-                Ok(sim) => sim,
-                Err(e) => unreachable!("valid partition rejected: {e}"),
-            };
-            sim = sim.with_threads(threads);
+            let mut sim = build(part, ring(2, 1), 1, threads);
             sim.schedule(1e16, 0, Tick);
             sim.schedule(1e16, 1, Tick);
             let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {

@@ -4,8 +4,8 @@
 //! contract (lint.toml `[layer.shard-boundary]`, enforced by AL008):
 //! domain crates program against [`Partition`](super::Partition) /
 //! [`ShardedSimulation`](super::ShardedSimulation) and must never name
-//! the channels, lower-bound announcements, or horizon math in here —
-//! those are free to change as the protocol evolves.
+//! the mailboxes, lower-bound announcements, barrier, or horizon math
+//! in here — those are free to change as the protocol evolves.
 //!
 //! # Protocol
 //!
@@ -17,7 +17,7 @@
 //! window on: a shard whose own queue is empty (LB = ∞) can still
 //! *receive* an event this round and relay a consequence of it early
 //! the next — a multi-hop path the single-hop bound misses. So the
-//! coordinator first relaxes the LBs through the lookahead graph to
+//! LBs are first relaxed through the lookahead graph to
 //! earliest-execution bounds (the fixpoint of)
 //!
 //! ```text
@@ -37,13 +37,52 @@
 //! holding the globally earliest event has `exec` equal to its LB and a
 //! horizon strictly above it, so every round makes progress — in exact
 //! arithmetic. When a lookahead is below half an ulp of the clock,
-//! `lb + la` rounds back to `lb` and the horizons freeze; [`stalled`]
-//! detects that corner so the drivers can abort with a diagnostic
+//! `lb + la` rounds back to `lb` and the horizons freeze; [`next_step`]
+//! reports that corner so the drivers can abort with a diagnostic
 //! instead of livelocking.
+//!
+//! # Threaded rounds
+//!
+//! There is no coordinator thread. Each worker owns a chunk of shards,
+//! and a round is a data phase and a sync phase, each ended by a wait
+//! on the [`RoundBarrier`]:
+//!
+//! 1. **Data.** Run the window, then append each non-empty outbox
+//!    bucket to the per-edge mailbox `src * n + dst` of the [`SyncPlane`].
+//! 2. **Sync.** Drain the own shards' inbound mailboxes, merge the
+//!    arrivals into the FELs, and announce each shard's LB.
+//! 3. **Decision.** Every worker snapshots the LBs and calls
+//!    [`next_step`] itself. Same inputs, same verdict (next horizons,
+//!    quiescent, panicked, or stalled), so nobody has to publish it.
+//!
+//! The barriers make every shared slot single-writer: a mailbox is
+//! filled only by its source's owner in the data phase and drained only
+//! by its destination's owner in the sync phase; LBs and the panic flag
+//! are written in the sync phase and read in the decision. So mailbox
+//! locks are never contended, and mailboxes need no bound, no
+//! backpressure and no flush handshake. A worker that catches a handler
+//! panic still attends both barriers and raises the panic flag, so
+//! every worker leaves at the same decision.
+//!
+//! The barrier spins, then yields, then parks. A fine-grained round
+//! takes microseconds, less than a futex sleep and wake per wait (what
+//! `std::sync::Barrier` costs). Spinning covers one core per worker,
+//! yielding lets a peer sharing the core finish its phase, and parking
+//! keeps oversubscribed runs from burning the cores stragglers need.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Barrier;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+
+/// Busy-wait iterations before a barrier waiter starts yielding.
+const SPINS: u32 = 64;
+/// `yield_now` calls before a barrier waiter parks on the condvar.
+const YIELDS: u32 = 64;
+
+/// Locks `m`, ignoring poison: every critical section here is a plain
+/// buffer move or a counter check that cannot leave broken state.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Computes the conservative horizon of every shard from the current
 /// lower-bound vector and the row-major `lookahead` matrix
@@ -58,23 +97,21 @@ use std::sync::Barrier;
 /// negative cycles.
 pub(crate) fn conservative_horizons(lbs: &[f64], lookahead: &[f64], out: &mut Vec<f64>) {
     let n = lbs.len();
-    let edge = |r: usize, s: usize| lookahead.get(r * n + s).copied().unwrap_or(f64::INFINITY);
+    // The earliest time anything from another shard can reach `s`.
+    // `INFINITY + la` stays infinite, so unreachable peers and missing
+    // edges drop out of the min automatically.
+    let inbound = |exec: &[f64], s: usize| {
+        exec.iter()
+            .enumerate()
+            .filter(|&(r, _)| r != s)
+            .map(|(r, ex)| ex + lookahead.get(r * n + s).copied().unwrap_or(f64::INFINITY))
+            .fold(f64::INFINITY, f64::min)
+    };
     let mut exec: Vec<f64> = lbs.to_vec();
     for _ in 1..n {
         let mut changed = false;
         for s in 0..n {
-            let mut recv = f64::INFINITY;
-            for r in 0..n {
-                if r == s {
-                    continue;
-                }
-                // `INFINITY + la` stays infinite, so unreachable peers
-                // and missing edges drop out of the min automatically.
-                let bound = exec.get(r).copied().unwrap_or(f64::INFINITY) + edge(r, s);
-                if bound < recv {
-                    recv = bound;
-                }
-            }
+            let recv = inbound(&exec, s);
             if let Some(slot) = exec.get_mut(s) {
                 if recv < *slot {
                     *slot = recv;
@@ -87,91 +124,178 @@ pub(crate) fn conservative_horizons(lbs: &[f64], lookahead: &[f64], out: &mut Ve
         }
     }
     out.clear();
-    for s in 0..n {
-        let mut h = f64::INFINITY;
-        for (r, ex) in exec.iter().enumerate() {
-            if r == s {
-                continue;
-            }
-            let bound = *ex + edge(r, s);
-            if bound < h {
-                h = bound;
-            }
-        }
-        out.push(h);
-    }
+    out.extend((0..n).map(|s| inbound(&exec, s)));
 }
 
 /// Whether a bounded run is finished: every shard's earliest pending
 /// event is either nonexistent or strictly beyond the run horizon
 /// (events *at* the horizon still execute, mirroring
 /// `Simulation::run_until`).
-pub(crate) fn quiescent(lbs: &[f64], run_horizon: f64) -> bool {
+fn quiescent(lbs: &[f64], run_horizon: f64) -> bool {
     lbs.iter()
         .all(|&lb| lb == f64::INFINITY || lb > run_horizon)
 }
 
-/// Whether a round would dispatch nothing at all: every shard's
-/// earliest pending event is at or beyond its horizon, or beyond the
-/// run horizon. With events remaining (`!quiescent`) this is impossible
-/// in exact arithmetic — the globally earliest shard always has a
-/// horizon strictly above its LB — but when a lookahead is smaller than
-/// half an ulp of the clock the horizon math rounds to a fixpoint that
-/// never advances. A stalled round re-derives the same LBs and horizons
-/// forever, so callers must treat it as fatal rather than retry.
-pub(crate) fn stalled(lbs: &[f64], horizons: &[f64], run_horizon: f64) -> bool {
-    lbs.iter()
-        .zip(horizons)
-        .all(|(&lb, &h)| lb >= h || lb > run_horizon)
+/// What a driver does once a round's lower bounds are in.
+#[derive(Debug)]
+pub(crate) enum Step {
+    /// Run another round inside the horizons just computed.
+    Round,
+    /// Nothing is pending at or before the run horizon: the run is over.
+    Quiescent,
+    /// No shard can dispatch anything: every earliest pending event is
+    /// at or beyond its horizon. Impossible in exact arithmetic (the
+    /// globally earliest shard's horizon is strictly above its LB), but
+    /// a lookahead below half an ulp of the clock rounds the horizons
+    /// to a fixpoint that a retry would re-derive forever. Carries the
+    /// earliest pending time for the diagnostic.
+    Stalled(f64),
 }
 
-/// The shared coordination state of one threaded run: per-shard lower
-/// bounds and horizons (f64 bit patterns in atomics), the termination
-/// and panic flags, and the round barrier. All reads and writes are
-/// separated by [`Barrier::wait`], which provides the happens-before
-/// edges; the atomics only need to be tear-free.
-pub(crate) struct SyncPlane {
-    lbs: Vec<AtomicU64>,
-    horizons: Vec<AtomicU64>,
-    /// Total flush announcements across all rounds (monotone, so no
-    /// racy per-round reset): worker `w` bumps it once per round, after
-    /// its cross-shard sends are pushed or permanently abandoned.
-    flushed: AtomicU64,
-    parties: u64,
-    done: AtomicBool,
-    panicked: AtomicBool,
-    pub(crate) barrier: Barrier,
+/// The one round decision both drivers share: quiescent, stalled, or
+/// another round inside the horizons written to `horizons`. Pure in its
+/// inputs, so every threaded worker computes the same verdict.
+pub(crate) fn next_step(
+    lbs: &[f64],
+    lookahead: &[f64],
+    run_horizon: f64,
+    horizons: &mut Vec<f64>,
+) -> Step {
+    if quiescent(lbs, run_horizon) {
+        return Step::Quiescent;
+    }
+    conservative_horizons(lbs, lookahead, horizons);
+    let blocked = |(&lb, &h): (&f64, &f64)| lb >= h || lb > run_horizon;
+    if lbs.iter().zip(horizons.iter()).all(blocked) {
+        return Step::Stalled(lbs.iter().copied().fold(f64::INFINITY, f64::min));
+    }
+    Step::Round
 }
 
-impl SyncPlane {
-    /// `parties` is the number of worker threads; the coordinator is
-    /// the extra barrier participant.
-    pub(crate) fn new(shards: usize, parties: usize) -> Self {
-        let inf = f64::INFINITY.to_bits();
-        SyncPlane {
-            lbs: (0..shards).map(|_| AtomicU64::new(inf)).collect(),
-            horizons: (0..shards).map(|_| AtomicU64::new(inf)).collect(),
-            flushed: AtomicU64::new(0),
-            parties: parties as u64,
-            done: AtomicBool::new(false),
-            panicked: AtomicBool::new(false),
-            barrier: Barrier::new(parties + 1),
+/// A reusable barrier for a fixed number of parties: the last arrival
+/// of a round bumps a generation counter, and the others wait for the
+/// bump by spinning, then yielding, then parking on a condvar (see the
+/// module docs for why). The bumper only touches the lock and the
+/// condvar when someone has parked, so a round whose waiters all catch
+/// the bump before parking costs it no system call.
+pub(crate) struct RoundBarrier {
+    parties: usize,
+    arrived: AtomicUsize,
+    generation: AtomicU64,
+    /// Waiters parked (or about to park) on `wake`.
+    sleepers: AtomicUsize,
+    lock: Mutex<()>,
+    wake: Condvar,
+}
+
+impl RoundBarrier {
+    pub(crate) fn new(parties: usize) -> Self {
+        RoundBarrier {
+            parties: parties.max(1),
+            arrived: AtomicUsize::new(0),
+            generation: AtomicU64::new(0),
+            sleepers: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            wake: Condvar::new(),
         }
     }
 
-    /// Announces that this worker has pushed every cross-shard send of
-    /// the current round — or, having caught a panic, will never push
-    /// them. Exactly one call per worker per round.
-    pub(crate) fn note_flushed(&self) {
-        self.flushed.fetch_add(1, Ordering::AcqRel);
+    /// Blocks until every party has called `wait` for this round.
+    /// Everything a party did before its call happens-before everything
+    /// any party does after its return.
+    pub(crate) fn wait(&self) {
+        let gen = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
+            // Nobody touches `arrived` again until they see the bump.
+            self.arrived.store(0, Ordering::Relaxed);
+            // SeqCst store-then-load here against the parker's SeqCst
+            // increment-then-load below: either this load sees the
+            // parker, or the parker sees the bump and never sleeps.
+            self.generation.store(gen.wrapping_add(1), Ordering::SeqCst);
+            if self.sleepers.load(Ordering::SeqCst) > 0 {
+                // A parker holds the lock from its increment until it
+                // sleeps on the condvar, so this wakeup is not lost.
+                drop(lock(&self.lock));
+                self.wake.notify_all();
+            }
+            return;
+        }
+        let passed = || self.generation.load(Ordering::SeqCst) != gen;
+        for _ in 0..SPINS {
+            if passed() {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+        for _ in 0..YIELDS {
+            if passed() {
+                return;
+            }
+            std::thread::yield_now();
+        }
+        let mut guard = lock(&self.lock);
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        while !passed() {
+            guard = self
+                .wake
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// The shared state of one threaded run: a mailbox per directed shard
+/// pair, the per-shard lower bounds (f64 bit patterns in atomics), the
+/// panic flag, and the round barrier. The barrier separates every
+/// write from every read (see the module docs), so the atomics only
+/// need to be tear-free and the mailbox locks are never contended.
+pub(crate) struct SyncPlane<T> {
+    /// `mailboxes[src * n + dst]`: events `src` sent to `dst` this round.
+    mailboxes: Vec<Mutex<Vec<T>>>,
+    lbs: Vec<AtomicU64>,
+    panicked: AtomicBool,
+    pub(crate) barrier: RoundBarrier,
+}
+
+impl<T> SyncPlane<T> {
+    /// A plane for `lbs.len()` shards, announcing `lbs` as the lower
+    /// bounds of the first round, shared by `parties` workers.
+    pub(crate) fn new(lbs: &[f64], parties: usize) -> Self {
+        let n = lbs.len();
+        SyncPlane {
+            mailboxes: (0..n * n).map(|_| Mutex::new(Vec::new())).collect(),
+            lbs: lbs.iter().map(|lb| AtomicU64::new(lb.to_bits())).collect(),
+            panicked: AtomicBool::new(false),
+            barrier: RoundBarrier::new(parties),
+        }
     }
 
-    /// Whether some worker is still flushing sends for 1-based `round`.
-    /// While this holds, every worker must keep draining its own
-    /// inboxes so no peer's flush can block forever on a full edge
-    /// channel — including edges into a panicked worker's shards.
-    pub(crate) fn sends_outstanding(&self, round: u64) -> bool {
-        self.flushed.load(Ordering::Acquire) < round.saturating_mul(self.parties)
+    /// Data phase: appends every non-empty bucket of shard `src`'s
+    /// outbox (indexed by destination shard) to its edge's mailbox,
+    /// leaving the buckets empty with their allocations kept.
+    pub(crate) fn post(&self, src: usize, outbox: &mut [Vec<T>]) {
+        for (dst, bucket) in outbox.iter_mut().enumerate() {
+            if bucket.is_empty() {
+                continue;
+            }
+            debug_assert_ne!(src, dst, "local events never go through a mailbox");
+            if let Some(mailbox) = self.mailboxes.get(src * self.lbs.len() + dst) {
+                lock(mailbox).append(bucket);
+            }
+        }
+    }
+
+    /// Sync phase: moves everything sent to shard `dst` this round into
+    /// `into`. Arrival order does not matter: arrivals are sorted by
+    /// `(time, seq)` before they enter the FEL.
+    pub(crate) fn collect(&self, dst: usize, into: &mut Vec<T>) {
+        let n = self.lbs.len();
+        for src in (0..n).filter(|&src| src != dst) {
+            if let Some(mailbox) = self.mailboxes.get(src * n + dst) {
+                into.append(&mut lock(mailbox));
+            }
+        }
     }
 
     pub(crate) fn set_lb(&self, shard: usize, lb: f64) {
@@ -189,27 +313,7 @@ impl SyncPlane {
         );
     }
 
-    pub(crate) fn publish_horizons(&self, horizons: &[f64]) {
-        for (slot, h) in self.horizons.iter().zip(horizons) {
-            slot.store(h.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    pub(crate) fn horizon(&self, shard: usize) -> f64 {
-        self.horizons
-            .get(shard)
-            .map(|slot| f64::from_bits(slot.load(Ordering::Relaxed)))
-            .unwrap_or(f64::INFINITY)
-    }
-
-    pub(crate) fn mark_done(&self) {
-        self.done.store(true, Ordering::Relaxed);
-    }
-
-    pub(crate) fn is_done(&self) -> bool {
-        self.done.load(Ordering::Relaxed)
-    }
-
+    /// Sync phase only: a worker caught a handler panic this round.
     pub(crate) fn mark_panicked(&self) {
         self.panicked.store(true, Ordering::Relaxed);
     }
@@ -217,45 +321,6 @@ impl SyncPlane {
     pub(crate) fn has_panicked(&self) -> bool {
         self.panicked.load(Ordering::Relaxed)
     }
-}
-
-/// The bounded cross-shard event channels of one threaded run, one per
-/// directed edge with a finite lookahead. `senders[src][dst]` is `None`
-/// on the diagonal and on undeclared edges; `receivers[dst]` lists
-/// `(src, rx)` pairs in ascending source order (a fixed order, though
-/// delivery order never matters: arrivals are sorted by `(time, seq)`
-/// before insertion).
-pub(crate) struct EdgeChannels<T> {
-    pub(crate) senders: Vec<Vec<Option<SyncSender<T>>>>,
-    pub(crate) receivers: Vec<Vec<(usize, Receiver<T>)>>,
-}
-
-pub(crate) fn edge_channels<T>(n: usize, lookahead: &[f64], capacity: usize) -> EdgeChannels<T> {
-    let mut senders: Vec<Vec<Option<SyncSender<T>>>> =
-        (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-    let mut receivers: Vec<Vec<(usize, Receiver<T>)>> = (0..n).map(|_| Vec::new()).collect();
-    for src in 0..n {
-        for dst in 0..n {
-            if src == dst {
-                continue;
-            }
-            let la = lookahead
-                .get(src * n + dst)
-                .copied()
-                .unwrap_or(f64::INFINITY);
-            if !la.is_finite() {
-                continue;
-            }
-            let (tx, rx) = sync_channel(capacity);
-            if let Some(slot) = senders.get_mut(src).and_then(|row| row.get_mut(dst)) {
-                *slot = Some(tx);
-            }
-            if let Some(inbox) = receivers.get_mut(dst) {
-                inbox.push((src, rx));
-            }
-        }
-    }
-    EdgeChannels { senders, receivers }
 }
 
 #[cfg(test)]
@@ -308,17 +373,74 @@ mod tests {
         assert!(!quiescent(&[3.0], f64::INFINITY));
     }
 
+    /// Shard 0 of a partition declaring only the edge 0 -> 1 runs one
+    /// real round: its handler schedules a local event and sends across
+    /// 0 -> 1, then tries the undeclared edge 0 -> 2, which is refused.
+    /// The posted mail sits on edge 0 -> 1 alone.
     #[test]
-    fn edge_channels_skip_diagonal_and_infinite_edges() {
-        let la = vec![f64::INFINITY, 1.0, f64::INFINITY, f64::INFINITY];
-        let chans = edge_channels::<u32>(2, &la, 4);
-        let have: Vec<Vec<bool>> = chans
-            .senders
-            .iter()
-            .map(|row| row.iter().map(Option::is_some).collect())
-            .collect();
-        assert_eq!(have, vec![vec![false, true], vec![false, false]]);
-        assert_eq!(chans.receivers.first().map(Vec::len), Some(0));
-        assert_eq!(chans.receivers.get(1).map(Vec::len), Some(1));
+    fn mail_never_lands_on_diagonal_or_undeclared_edges() {
+        use super::super::{run_round, unlabeled, LogicalProcess, RoundEnv, ShardCtx};
+        use super::super::{ShardedSimulation, StaticPartition};
+        struct Fan;
+        impl LogicalProcess for Fan {
+            type Event = u8;
+            fn handle(&mut self, kind: u8, ctx: &mut ShardCtx<'_, u8>) {
+                if kind == 0 {
+                    ctx.schedule_in(0.5, 1);
+                    ctx.send_in(1.0, 1, 9);
+                } else {
+                    ctx.send_in(1.0, 2, 9);
+                }
+            }
+        }
+        let mut part = StaticPartition::round_robin(3, 3, f64::INFINITY);
+        part.set_lookahead(0, 1, 1.0);
+        let mut sim: ShardedSimulation<_, Fan> =
+            ShardedSimulation::new(part, vec![Fan, Fan, Fan], 1).expect("valid partition");
+        sim.schedule(0.0, 0, 0);
+        let env = RoundEnv {
+            index: &sim.index,
+            lookahead: &sim.lookahead,
+            nshards: 3,
+            seed: 1,
+            labeler: unlabeled::<u8>,
+            log_events: false,
+        };
+        let shard = sim.shards.first_mut().expect("shard 0 exists");
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_round(shard, 0, 10.0, f64::INFINITY, env)
+        }));
+        assert!(refused.is_err(), "the send on 0 -> 2 must be refused");
+        assert_eq!(shard.dispatched, 2, "the local event ran inside the round");
+        let plane = SyncPlane::new(&[0.0; 3], 1);
+        plane.post(0, &mut shard.outbox);
+        let mail: Vec<usize> = plane.mailboxes.iter().map(|m| lock(m).len()).collect();
+        assert_eq!(mail, vec![0, 1, 0, 0, 0, 0, 0, 0, 0]);
+        let mut arrived = Vec::new();
+        plane.collect(1, &mut arrived);
+        assert_eq!(arrived.len(), 1);
+    }
+
+    #[test]
+    fn round_barrier_holds_with_more_parties_than_cores() {
+        const PARTIES: usize = 8;
+        const ROUNDS: usize = 10_000;
+        let barrier = RoundBarrier::new(PARTIES);
+        let arrivals = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..PARTIES {
+                scope.spawn(|| {
+                    for round in 0..ROUNDS {
+                        arrivals.fetch_add(1, Ordering::Relaxed);
+                        barrier.wait();
+                        let seen = arrivals.load(Ordering::Relaxed);
+                        assert_eq!(seen, PARTIES * (round + 1), "round {round}");
+                        // Nobody bumps again before everyone has checked.
+                        barrier.wait();
+                    }
+                });
+            }
+        });
+        assert_eq!(arrivals.load(Ordering::Relaxed), PARTIES * ROUNDS);
     }
 }

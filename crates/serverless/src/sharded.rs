@@ -259,6 +259,38 @@ pub fn run_sharded_platform(
     shards: usize,
     threads: usize,
 ) -> Result<ShardedFaasResult, PartitionError> {
+    let mut sim = platform_sim(functions, config, chains, requests, seed, shards, threads)?;
+    sim.run();
+    let mut requests_out = Vec::new();
+    let mut invocations = 0;
+    let mut cold = 0;
+    let mut gb_seconds = 0.0;
+    for pool in sim.into_lps() {
+        requests_out.extend(pool.completed);
+        invocations += pool.invocations;
+        cold += pool.cold;
+        gb_seconds += pool.gb_seconds;
+    }
+    requests_out.sort_by_key(|r| r.req);
+    Ok(ShardedFaasResult {
+        requests: requests_out,
+        invocations,
+        cold,
+        gb_seconds,
+    })
+}
+
+/// The pools of [`run_sharded_platform`] with every request's entry
+/// hop scheduled, ready to run.
+fn platform_sim(
+    functions: Vec<FunctionSpec>,
+    config: FaasConfig,
+    chains: Vec<Vec<usize>>,
+    requests: &[(f64, usize)],
+    seed: u64,
+    shards: usize,
+    threads: usize,
+) -> Result<ShardedSimulation<StaticPartition, FunctionPool>, PartitionError> {
     assert!(!functions.is_empty(), "register at least one function");
     for chain in &chains {
         assert!(!chain.is_empty(), "workflow chains must have a stage");
@@ -292,24 +324,7 @@ pub fn run_sharded_platform(
             },
         );
     }
-    sim.run();
-    let mut requests_out = Vec::new();
-    let mut invocations = 0;
-    let mut cold = 0;
-    let mut gb_seconds = 0.0;
-    for pool in sim.into_lps() {
-        requests_out.extend(pool.completed);
-        invocations += pool.invocations;
-        cold += pool.cold;
-        gb_seconds += pool.gb_seconds;
-    }
-    requests_out.sort_by_key(|r| r.req);
-    Ok(ShardedFaasResult {
-        requests: requests_out,
-        invocations,
-        cold,
-        gb_seconds,
-    })
+    Ok(sim)
 }
 
 #[cfg(test)]
@@ -359,6 +374,31 @@ mod tests {
                     "platform diverged at {shards} shards / {threads} threads"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn inline_and_threaded_drivers_run_the_same_rounds() {
+        let chains = vec![vec![0, 1, 2], vec![3, 4, 5], vec![2, 4], vec![5]];
+        let requests: Vec<(f64, usize)> = (0..200).map(|i| (i as f64 * 0.3, i % 4)).collect();
+        for shards in [2usize, 3, 6] {
+            let rounds = |threads| {
+                let mut sim = platform_sim(
+                    specs(6),
+                    FaasConfig::default(),
+                    chains.clone(),
+                    &requests,
+                    5,
+                    shards,
+                    threads,
+                )
+                .expect("valid run");
+                sim.run();
+                sim.rounds()
+            };
+            let inline = rounds(1);
+            assert!(inline > 1, "chains cross shards at {shards} shards");
+            assert_eq!(rounds(2), inline, "rounds diverged at {shards} shards");
         }
     }
 
