@@ -320,7 +320,8 @@ impl Capsule {
         let kind = r.str16()?;
         let version = r.u32()?;
         let count = r.u16()?;
-        let mut fields = Vec::with_capacity(usize::from(count));
+        // A field is at least a name length and a tag.
+        let mut fields = r.vec_for(usize::from(count), 3);
         for _ in 0..count {
             let name = r.str16()?;
             let tag = r.u8()?;
@@ -332,7 +333,8 @@ impl Capsule {
                 5 => Value::F64s(r.f64s()?),
                 6 => {
                     let rows = r.u32()? as usize;
-                    let mut table = Vec::with_capacity(rows);
+                    // A row is at least its length prefix.
+                    let mut table = r.vec_for(rows, 4);
                     for _ in 0..rows {
                         table.push(r.f64s()?);
                     }
@@ -340,7 +342,8 @@ impl Capsule {
                 }
                 7 => {
                     let n = r.u32()? as usize;
-                    let mut entries = Vec::with_capacity(n);
+                    // An entry is at least a name length and a value.
+                    let mut entries = r.vec_for(n, 10);
                     for _ in 0..n {
                         let name = r.str16()?;
                         entries.push((name, f64::from_bits(r.u64()?)));
@@ -386,6 +389,13 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    /// An empty vector with room for `n` items of at least `min_bytes`
+    /// encoded bytes each, capped by the bytes left to read, so a forged
+    /// length cannot force a huge allocation.
+    fn vec_for<T>(&self, n: usize, min_bytes: usize) -> Vec<T> {
+        Vec::with_capacity(n.min((self.bytes.len() - self.pos) / min_bytes))
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], CapsuleError> {
         let end = self.pos.checked_add(n).ok_or(CapsuleError::Truncated)?;
         if end > self.bytes.len() {
@@ -432,7 +442,7 @@ impl<'a> Reader<'a> {
 
     fn f64s(&mut self) -> Result<Vec<f64>, CapsuleError> {
         let n = self.u32()? as usize;
-        let mut v = Vec::with_capacity(n.min(4096));
+        let mut v = self.vec_for(n, 8);
         for _ in 0..n {
             v.push(f64::from_bits(self.u64()?));
         }
@@ -556,5 +566,25 @@ mod tests {
             Capsule::from_bytes(&bytes),
             Err(CapsuleError::UnsupportedFormat(_))
         ));
+    }
+
+    #[test]
+    fn forged_table_length_is_a_typed_error() {
+        // 26 bytes: kind "test", one field "t" with tag 6 (f64 table)
+        // claiming u32::MAX rows and holding none.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC);
+        bytes.extend_from_slice(&FORMAT.to_le_bytes());
+        write_str16(&mut bytes, "test");
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&1u16.to_le_bytes());
+        write_str16(&mut bytes, "t");
+        bytes.push(6);
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(bytes.len(), 26);
+        assert_eq!(Capsule::from_bytes(&bytes), Err(CapsuleError::Truncated));
+        // The same forged count on a named-floats field (tag 7).
+        bytes[21] = 7;
+        assert_eq!(Capsule::from_bytes(&bytes), Err(CapsuleError::Truncated));
     }
 }

@@ -8,11 +8,15 @@
 //!
 //! - [`refarch`] — the SPEC-RG FaaS reference architecture as data, with
 //!   platform mappings and the three serverless principles of \[101\].
-//! - [`platform`] — a FaaS platform simulator: router, per-function
-//!   instance pools, cold starts, keep-alive expiry; latency/cost
-//!   metrics, and the serverless-vs-reserved comparison.
-//! - [`workflow`] — a Fission-Workflows-style engine executing composite
-//!   functions (sequence / parallel / choice) over the platform.
+//! - [`sharded`] — the one FaaS model: per-function instance pools with
+//!   cold starts, pay-per-use billing and keep-alive expiry, linked by
+//!   router hops into workflow chains, on the parallel-in-time kernel.
+//! - [`platform`] — the function registry and platform configuration;
+//!   runs invocation schedules on the pools (one-stage chains, one
+//!   shard) for latency/cost metrics and the serverless-vs-reserved
+//!   comparison.
+//! - [`workflow`] — a Fission-Workflows-style engine evaluating composite
+//!   functions (sequence / parallel / choice) with per-step overhead.
 //! - [`storage`] — a Pocket-style tiered ephemeral store with
 //!   right-sizing.
 //! - [`evolution`] — the \[60\] timeline argument: serverless'
@@ -28,4 +32,4 @@ pub mod sharded;
 pub mod storage;
 pub mod workflow;
 
-pub use platform::{FaasConfig, FaasPlatform};
+pub use platform::FaasConfig;

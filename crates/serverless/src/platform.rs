@@ -4,15 +4,16 @@
 //! ([`crate::refarch`]): requests enter through a router, a scheduler
 //! places them on warm instances of the target function or triggers a
 //! cold start; idle instances expire after a keep-alive window. The
-//! simulator exposes the metrics that the performance-challenges vision
+//! model itself is the per-function pool of [`crate::sharded`]; this
+//! module runs it on plain invocation schedules and exposes the
+//! metrics that the performance-challenges vision
 //! \[102\] put on the agenda — cold-start fraction, latency percentiles,
 //! and the pay-per-use cost that principle (2) of \[101\] demands.
 
-use atlarge_des::sim::{Ctx, Model, Simulation};
+use crate::sharded::{platform_sim, run_to_end, ShardedFaasResult};
 use atlarge_stats::descriptive::Summary;
 use atlarge_telemetry::manifest::config_digest;
 use atlarge_telemetry::recorder::Recorder;
-use atlarge_telemetry::tracer::EventLabel;
 use std::collections::BTreeMap;
 
 /// A registered function.
@@ -53,14 +54,12 @@ impl Default for FaasConfig {
 /// Metrics of one platform run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaasMetrics {
-    /// Per-invocation end-to-end latencies.
+    /// Per-invocation end-to-end latencies, in invocation order.
     pub latencies: Vec<f64>,
     /// Fraction of invocations that paid a cold start.
     pub cold_fraction: f64,
     /// Total GB-s billed.
     pub gb_seconds: f64,
-    /// Peak concurrent instances.
-    pub peak_instances: usize,
     /// Completed invocations.
     pub completed: usize,
 }
@@ -77,177 +76,33 @@ impl FaasMetrics {
     }
 }
 
-/// The platform's event alphabet.
-#[derive(Debug)]
-pub enum FaasEvent {
-    /// An invocation request arrives at the router.
-    Invoke {
-        /// Target function index.
-        func: usize,
-        /// Request arrival time (for end-to-end latency).
-        enqueued: f64,
-    },
-    /// An instance finishes executing.
-    Finish {
-        /// Function index.
-        func: usize,
-        /// Original request arrival time.
-        enqueued: f64,
-    },
-    /// A keep-alive timer fires for an idle instance.
-    Expire {
-        /// Function index.
-        func: usize,
-        /// When the instance went idle.
-        idle_since: f64,
-    },
-}
-
-impl EventLabel for FaasEvent {
-    fn label(&self) -> &'static str {
-        match self {
-            FaasEvent::Invoke { .. } => "invoke",
-            FaasEvent::Finish { .. } => "finish",
-            FaasEvent::Expire { .. } => "expire",
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct Pool {
-    /// Warm idle instances, keyed by when they went idle.
-    idle: Vec<f64>,
-    /// Busy instances.
-    busy: usize,
-}
-
-/// The FaaS platform model.
-#[derive(Debug)]
-pub struct FaasPlatform {
-    functions: Vec<FunctionSpec>,
-    config: FaasConfig,
-    pools: Vec<Pool>,
-    latencies: Vec<f64>,
-    cold: usize,
-    total: usize,
-    gb_seconds: f64,
-    peak_instances: usize,
-    recorder: Option<Recorder>,
-}
-
-impl FaasPlatform {
-    /// Creates a platform with the given function registry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `functions` is empty.
-    pub fn new(functions: Vec<FunctionSpec>, config: FaasConfig) -> Self {
-        assert!(!functions.is_empty(), "register at least one function");
-        let pools = functions.iter().map(|_| Pool::default()).collect();
-        FaasPlatform {
-            functions,
-            config,
-            pools,
-            latencies: Vec::new(),
-            cold: 0,
-            total: 0,
-            gb_seconds: 0.0,
-            peak_instances: 0,
-            recorder: None,
-        }
-    }
-
-    fn instances(&self) -> usize {
-        self.pools.iter().map(|p| p.idle.len() + p.busy).sum()
-    }
-}
-
-impl Model for FaasPlatform {
-    type Event = FaasEvent;
-
-    fn handle(&mut self, ev: FaasEvent, ctx: &mut Ctx<FaasEvent>) {
-        match ev {
-            FaasEvent::Invoke { func, enqueued } => {
-                self.total += 1;
-                let warm = {
-                    let pool = &mut self.pools[func];
-                    match pool.idle.pop() {
-                        Some(_) => {
-                            pool.busy += 1;
-                            true
-                        }
-                        None => {
-                            pool.busy += 1;
-                            false
-                        }
-                    }
-                };
-                let spec = &self.functions[func];
-                let mut delay = self.config.router_overhead + spec.exec_time;
-                if !warm {
-                    self.cold += 1;
-                    delay += self.config.cold_start;
-                }
-                self.gb_seconds += spec.exec_time * spec.memory_gb;
-                self.peak_instances = self.peak_instances.max(self.instances());
-                if let Some(rec) = &self.recorder {
-                    rec.incr("faas.invocations");
-                    if !warm {
-                        rec.incr("faas.cold_starts");
-                    }
-                    rec.gauge_set("faas.instances", ctx.now(), self.instances() as f64);
-                }
-                ctx.schedule_in(delay, FaasEvent::Finish { func, enqueued });
-            }
-            FaasEvent::Finish { func, enqueued } => {
-                let latency = ctx.now() - enqueued;
-                self.latencies.push(latency);
-                if let Some(rec) = &self.recorder {
-                    rec.observe("faas.latency_s", latency);
-                }
-                let pool = &mut self.pools[func];
-                pool.busy -= 1;
-                pool.idle.push(ctx.now());
-                ctx.schedule_in(
-                    self.config.keep_alive,
-                    FaasEvent::Expire {
-                        func,
-                        idle_since: ctx.now(),
-                    },
-                );
-            }
-            FaasEvent::Expire { func, idle_since } => {
-                // Reclaim the instance only if it is still idle since then.
-                let pool = &mut self.pools[func];
-                if let Some(pos) = pool.idle.iter().position(|&t| t == idle_since) {
-                    pool.idle.remove(pos);
-                    if let Some(rec) = &self.recorder {
-                        rec.incr("faas.expirations");
-                        rec.gauge_set("faas.instances", ctx.now(), self.instances() as f64);
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Runs the platform over an invocation schedule `(time, function
-/// index)`. Returns the metrics.
+/// index)`. Returns the metrics, with latencies in invocation order.
+///
+/// Each function is a one-stage workflow chain on its own
+/// [`FunctionPool`](crate::sharded::FunctionPool), run on one shard and
+/// one thread.
+///
+/// # Panics
+///
+/// Panics if `functions` is empty or holds more than
+/// [`MAX_ENTITIES`](atlarge_des::shard::MAX_ENTITIES) functions, or if an
+/// invocation names an unknown function.
 pub fn run_platform(
     functions: Vec<FunctionSpec>,
     config: FaasConfig,
     invocations: &[(f64, usize)],
     seed: u64,
 ) -> FaasMetrics {
-    run_platform_impl(functions, config, invocations, seed, None)
+    metrics(&run_pools(functions, config, invocations, seed, None))
 }
 
-/// Runs the platform with `recorder` attached as the simulation tracer and
-/// as the sink for platform metrics (`faas.invocations`,
-/// `faas.cold_starts`, `faas.expirations`, the `faas.instances` gauge, the
-/// `faas.latency_s` tally). Telemetry is observational: the returned
-/// metrics are identical to an untraced [`run_platform`] of the same
-/// inputs and seed — a property the test suite asserts.
+/// Runs the platform with `recorder` attached as the simulation tracer,
+/// then writes the platform metrics (`faas.invocations`,
+/// `faas.cold_starts`, `faas.expirations`, the `faas.latency_s` tally)
+/// from the results. Telemetry is observational: the returned metrics
+/// are identical to an untraced [`run_platform`] of the same inputs and
+/// seed — a property the test suite asserts.
 pub fn run_platform_traced(
     functions: Vec<FunctionSpec>,
     config: FaasConfig,
@@ -256,45 +111,39 @@ pub fn run_platform_traced(
     recorder: &Recorder,
 ) -> FaasMetrics {
     recorder.set_run_info("serverless.faas", seed, config_digest(&config));
-    run_platform_impl(functions, config, invocations, seed, Some(recorder.clone()))
+    let result = run_pools(functions, config, invocations, seed, Some(recorder));
+    recorder.add("faas.invocations", result.invocations as u64);
+    recorder.add("faas.cold_starts", result.cold as u64);
+    recorder.add("faas.expirations", result.expirations as u64);
+    for r in &result.requests {
+        recorder.observe("faas.latency_s", r.latency);
+    }
+    metrics(&result)
 }
 
-fn run_platform_impl(
+/// Runs every invocation as a one-stage chain `[f]` on one shard.
+fn run_pools(
     functions: Vec<FunctionSpec>,
     config: FaasConfig,
     invocations: &[(f64, usize)],
     seed: u64,
-    recorder: Option<Recorder>,
-) -> FaasMetrics {
-    let n_funcs = functions.len();
-    for &(_, f) in invocations {
-        assert!(f < n_funcs, "invocation references unknown function");
-    }
-    let mut platform = FaasPlatform::new(functions, config);
-    platform.recorder = recorder.clone();
-    // Every invocation is scheduled up front; pre-size the event queue
-    // so the fill phase never reallocates.
-    let mut sim = Simulation::with_capacity(platform, seed, invocations.len());
-    if let Some(rec) = recorder {
-        sim = sim.with_tracer(rec);
-    }
-    for &(t, f) in invocations {
-        sim.schedule(
-            t,
-            FaasEvent::Invoke {
-                func: f,
-                enqueued: t,
-            },
-        );
-    }
-    sim.run();
-    let m = sim.model();
+    recorder: Option<&Recorder>,
+) -> ShardedFaasResult {
+    let chains = (0..functions.len()).map(|f| vec![f]).collect();
+    // One shard has no cross-shard lookahead to reject, so the only
+    // partition error left is a registry beyond the kernel's entity limit.
+    let sim = platform_sim(functions, config, chains, invocations, seed, 1, recorder)
+        .unwrap_or_else(|err| panic!("{err}"));
+    run_to_end(sim.with_threads(1))
+}
+
+fn metrics(result: &ShardedFaasResult) -> FaasMetrics {
+    let latencies: Vec<f64> = result.requests.iter().map(|r| r.latency).collect();
     FaasMetrics {
-        latencies: m.latencies.clone(),
-        cold_fraction: m.cold as f64 / m.total.max(1) as f64,
-        gb_seconds: m.gb_seconds,
-        peak_instances: m.peak_instances,
-        completed: m.latencies.len(),
+        completed: latencies.len(),
+        latencies,
+        cold_fraction: result.cold_fraction(),
+        gb_seconds: result.gb_seconds,
     }
 }
 
@@ -375,12 +224,10 @@ mod tests {
 
     #[test]
     fn concurrent_burst_scales_instances() {
+        // Each concurrent call needs its own instance, so all pay a cold
+        // start.
         let invs: Vec<(f64, usize)> = (0..20).map(|_| (0.0, 0)).collect();
         let m = run_platform(vec![spec("f", 2.0)], FaasConfig::default(), &invs, 1);
-        assert_eq!(
-            m.peak_instances, 20,
-            "each concurrent call gets an instance"
-        );
         assert_eq!(m.cold_fraction, 1.0);
     }
 

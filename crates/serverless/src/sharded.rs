@@ -1,25 +1,25 @@
-//! Function pools on the parallel-in-time kernel.
+//! Function pools on the parallel-in-time kernel: the one FaaS model.
 //!
-//! The sealed [`platform`](crate::platform) model routes every
-//! invocation through one global [`FaasPlatform`] state — exact, but
-//! serial. This module decomposes the platform the way real FaaS
-//! deployments shard it: each *function's pool* (warm instances, busy
-//! count, billing meter) is an independent [`LogicalProcess`], and
-//! workflow chains hop between pools through the router. Every hop pays
-//! the router overhead in transit, and that overhead is exactly the
-//! kernel lookahead: no function can influence another's pool sooner
-//! than `router_overhead`, so shards simulate independently between
-//! router hops and the merged run is byte-identical at any shard count.
+//! The platform decomposes the way real FaaS deployments shard it: each
+//! *function's pool* (warm instances and billing meter) is an
+//! independent [`LogicalProcess`], and workflow chains hop between
+//! pools through the router. Every hop pays the router overhead in
+//! transit, and that overhead is exactly the kernel lookahead: no
+//! function can influence another's pool sooner than
+//! `router_overhead`, so shards simulate independently between router
+//! hops and the merged run is byte-identical at any shard count.
 //!
-//! Per-invocation semantics mirror the sealed platform: an invocation
-//! pays `router_overhead` (here: in transit to the pool) plus
+//! An invocation pays `router_overhead` (in transit to the pool) plus
 //! `cold_start` when no warm instance is idle, then `exec_time`; idle
 //! instances are reclaimed `keep_alive` seconds after going idle.
+//! [`run_platform`](crate::platform::run_platform) runs plain
+//! invocation schedules as one-stage chains on one shard.
 
 use crate::platform::{FaasConfig, FunctionSpec};
 use atlarge_des::shard::{
     LogicalProcess, PartitionError, ShardCtx, ShardedSimulation, StaticPartition,
 };
+use atlarge_telemetry::recorder::Recorder;
 use atlarge_telemetry::tracer::EventLabel;
 use std::sync::Arc;
 
@@ -94,6 +94,8 @@ pub struct ShardedFaasResult {
     pub cold: usize,
     /// Total GB-seconds billed.
     pub gb_seconds: f64,
+    /// Idle instances reclaimed after their keep-alive.
+    pub expirations: usize,
 }
 
 impl ShardedFaasResult {
@@ -116,20 +118,20 @@ impl ShardedFaasResult {
     }
 }
 
-/// One function's pool: the per-function slice of the sealed platform's
-/// state, plus the routing table of the workflow chains.
+/// One function's pool: its warm instances and billing meter, plus the
+/// routing table of the workflow chains.
 pub struct FunctionPool {
     spec: FunctionSpec,
     config: FaasConfig,
     chains: Arc<Vec<Vec<usize>>>,
     /// Warm idle instances, keyed by when they went idle.
     idle: Vec<f64>,
-    busy: usize,
     /// Requests whose *final* stage ran here.
     completed: Vec<RequestOutcome>,
     invocations: usize,
     cold: usize,
     gb_seconds: f64,
+    expirations: usize,
 }
 
 impl FunctionPool {
@@ -139,11 +141,11 @@ impl FunctionPool {
             config,
             chains,
             idle: Vec::new(),
-            busy: 0,
             completed: Vec::new(),
             invocations: 0,
             cold: 0,
             gb_seconds: 0.0,
+            expirations: 0,
         }
     }
 }
@@ -162,7 +164,6 @@ impl LogicalProcess for FunctionPool {
             } => {
                 self.invocations += 1;
                 let warm = self.idle.pop().is_some();
-                self.busy += 1;
                 let mut delay = self.spec.exec_time;
                 let mut cold_hops = cold_hops;
                 if !warm {
@@ -189,7 +190,6 @@ impl LogicalProcess for FunctionPool {
                 enqueued,
                 cold_hops,
             } => {
-                self.busy = self.busy.saturating_sub(1);
                 self.idle.push(ctx.now());
                 ctx.schedule_in(
                     self.config.keep_alive,
@@ -231,6 +231,7 @@ impl LogicalProcess for FunctionPool {
                 // Reclaim the instance only if it is still idle since then.
                 if let Some(pos) = self.idle.iter().position(|&t| t == idle_since) {
                     self.idle.remove(pos);
+                    self.expirations += 1;
                 }
             }
         }
@@ -247,9 +248,8 @@ impl LogicalProcess for FunctionPool {
 ///
 /// # Panics
 ///
-/// Panics if a chain is empty or names an unknown function, mirroring
-/// [`FaasPlatform::new`](crate::platform::FaasPlatform::new)'s
-/// up-front registry validation.
+/// Panics if no function is registered, a chain is empty or names an
+/// unknown function, or a request names an unknown chain.
 pub fn run_sharded_platform(
     functions: Vec<FunctionSpec>,
     config: FaasConfig,
@@ -259,37 +259,48 @@ pub fn run_sharded_platform(
     shards: usize,
     threads: usize,
 ) -> Result<ShardedFaasResult, PartitionError> {
-    let mut sim = platform_sim(functions, config, chains, requests, seed, shards, threads)?;
+    let sim = platform_sim(functions, config, chains, requests, seed, shards, None)?;
+    Ok(run_to_end(sim.with_threads(threads)))
+}
+
+/// Runs `sim` until its queues drain and merges the pools' outcomes.
+pub(crate) fn run_to_end(
+    mut sim: ShardedSimulation<StaticPartition, FunctionPool>,
+) -> ShardedFaasResult {
     sim.run();
-    let mut requests_out = Vec::new();
+    let mut requests = Vec::new();
     let mut invocations = 0;
     let mut cold = 0;
     let mut gb_seconds = 0.0;
+    let mut expirations = 0;
     for pool in sim.into_lps() {
-        requests_out.extend(pool.completed);
+        requests.extend(pool.completed);
         invocations += pool.invocations;
         cold += pool.cold;
         gb_seconds += pool.gb_seconds;
+        expirations += pool.expirations;
     }
-    requests_out.sort_by_key(|r| r.req);
-    Ok(ShardedFaasResult {
-        requests: requests_out,
+    requests.sort_by_key(|r| r.req);
+    ShardedFaasResult {
+        requests,
         invocations,
         cold,
         gb_seconds,
-    })
+        expirations,
+    }
 }
 
-/// The pools of [`run_sharded_platform`] with every request's entry
-/// hop scheduled, ready to run.
-fn platform_sim(
+/// The pools of [`run_sharded_platform`] with `recorder` (if any)
+/// attached as the kernel tracer and every request's entry hop
+/// scheduled, ready to run.
+pub(crate) fn platform_sim(
     functions: Vec<FunctionSpec>,
     config: FaasConfig,
     chains: Vec<Vec<usize>>,
     requests: &[(f64, usize)],
     seed: u64,
     shards: usize,
-    threads: usize,
+    recorder: Option<&Recorder>,
 ) -> Result<ShardedSimulation<StaticPartition, FunctionPool>, PartitionError> {
     assert!(!functions.is_empty(), "register at least one function");
     for chain in &chains {
@@ -298,23 +309,25 @@ fn platform_sim(
             assert!(f < functions.len(), "chain names unknown function {f}");
         }
     }
+    for &(_, chain) in requests {
+        assert!(chain < chains.len(), "request names unknown chain {chain}");
+    }
     let part = StaticPartition::block(functions.len(), shards, config.router_overhead);
     let chains = Arc::new(chains);
     let lps: Vec<FunctionPool> = functions
         .into_iter()
         .map(|spec| FunctionPool::new(spec, config, Arc::clone(&chains)))
         .collect();
-    let mut sim: ShardedSimulation<_, _> =
-        ShardedSimulation::new(part, lps, seed)?.with_threads(threads);
+    let mut sim: ShardedSimulation<_, _> = ShardedSimulation::new(part, lps, seed)?;
+    if let Some(rec) = recorder {
+        sim = sim.with_tracer(rec.clone());
+    }
     for (req, &(t, chain)) in requests.iter().enumerate() {
-        let Some(entry) = chains.get(chain).and_then(|c| c.first()).copied() else {
-            continue;
-        };
         // The entry router hop: requests reach the first pool one
         // router overhead after arriving at the router.
         sim.schedule(
             t + config.router_overhead,
-            entry as u32,
+            chains[chain][0] as u32,
             PoolEvent::Invoke {
                 req: req as u64,
                 chain: chain as u32,
@@ -330,7 +343,6 @@ fn platform_sim(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::platform::run_platform;
 
     fn specs(n: usize) -> Vec<FunctionSpec> {
         (0..n)
@@ -390,9 +402,10 @@ mod tests {
                     &requests,
                     5,
                     shards,
-                    threads,
+                    None,
                 )
-                .expect("valid run");
+                .expect("valid run")
+                .with_threads(threads);
                 sim.run();
                 sim.rounds()
             };
@@ -403,29 +416,11 @@ mod tests {
     }
 
     #[test]
-    fn single_stage_chains_match_the_sealed_platform() {
-        // On one-function workflows the sharded pools degenerate to the
-        // sealed platform's per-invocation semantics: router overhead +
-        // optional cold start + exec time, with keep-alive reuse.
-        let requests: Vec<(f64, usize)> = (0..20).map(|i| (i as f64 * 1.7, i % 3)).collect();
-        let chains = vec![vec![0], vec![1], vec![2]];
-        let sharded =
-            run_sharded_platform(specs(3), FaasConfig::default(), chains, &requests, 9, 3, 2)
-                .expect("valid run");
-        let invocations: Vec<(f64, usize)> = requests.iter().map(|&(t, c)| (t, c)).collect();
-        let sealed = run_platform(specs(3), FaasConfig::default(), &invocations, 9);
-        let mut sealed_lat = sealed.latencies.clone();
-        sealed_lat.sort_by(f64::total_cmp);
-        let got = sharded.sorted_latencies();
-        assert_eq!(got.len(), sealed_lat.len());
-        for (g, s) in got.iter().zip(&sealed_lat) {
-            // The sealed engine sums router + exec (+ cold) in one
-            // expression; the sharded run splits the router hop out, so
-            // the two associate differently — equal up to rounding.
-            assert!((g - s).abs() < 1e-12, "latency {g} vs sealed {s}");
-        }
-        assert_eq!(sharded.cold_fraction(), sealed.cold_fraction);
-        assert!((sharded.gb_seconds - sealed.gb_seconds).abs() < 1e-12);
+    #[should_panic(expected = "request names unknown chain 2")]
+    fn request_for_an_unknown_chain_is_rejected() {
+        let chains = vec![vec![0], vec![1]];
+        let requests = [(0.0, 0), (1.0, 2)];
+        let _ = run_sharded_platform(specs(2), FaasConfig::default(), chains, &requests, 1, 1, 1);
     }
 
     #[test]

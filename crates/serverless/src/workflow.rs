@@ -162,101 +162,6 @@ impl WorkflowEngine {
     }
 }
 
-/// A stateful platform session for workflow execution: tracks warm
-/// instances per function across invocations, so consecutive workflow
-/// runs feel the cold-start economics the \[102\] challenge describes —
-/// the first run boots instances, later runs reuse them until the
-/// keep-alive expires.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlatformSession {
-    registry: Vec<FunctionSpec>,
-    config: FaasConfig,
-    /// Per function: times instances went idle.
-    idle: Vec<Vec<f64>>,
-    cold_starts: usize,
-    invocations: usize,
-}
-
-impl PlatformSession {
-    /// Creates a session over a registry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the registry is empty.
-    pub fn new(registry: Vec<FunctionSpec>, config: FaasConfig) -> Self {
-        assert!(!registry.is_empty(), "registry must not be empty");
-        let idle = registry.iter().map(|_| Vec::new()).collect();
-        PlatformSession {
-            registry,
-            config,
-            idle,
-            cold_starts: 0,
-            invocations: 0,
-        }
-    }
-
-    /// Cold starts paid so far.
-    pub fn cold_starts(&self) -> usize {
-        self.cold_starts
-    }
-
-    /// Invocations executed so far.
-    pub fn invocations(&self) -> usize {
-        self.invocations
-    }
-
-    /// Invokes function `f` at time `t`; returns the finish time.
-    fn invoke(&mut self, f: usize, t: f64) -> f64 {
-        self.invocations += 1;
-        let ka = self.config.keep_alive;
-        // A warm instance is one that went idle within the keep-alive.
-        let warm = self.idle[f]
-            .iter()
-            .position(|&idle_since| idle_since <= t && t - idle_since <= ka);
-        let mut delay = self.config.router_overhead + self.registry[f].exec_time;
-        match warm {
-            Some(pos) => {
-                self.idle[f].swap_remove(pos);
-            }
-            None => {
-                self.cold_starts += 1;
-                delay += self.config.cold_start;
-            }
-        }
-        let finish = t + delay;
-        self.idle[f].push(finish);
-        finish
-    }
-
-    /// Executes a composite starting at time `start`; returns the finish
-    /// time. Parallel branches invoke concurrently, so each may need its
-    /// own (possibly cold) instance — exactly the fan-out cold-start
-    /// burst real FaaS workflows hit.
-    pub fn execute(&mut self, wf: &Composite, start: f64, seed: u64) -> f64 {
-        match wf {
-            Composite::Task(f) => self.invoke(*f, start),
-            Composite::Sequence(parts) => parts.iter().fold(start, |t, p| self.execute(p, t, seed)),
-            Composite::Parallel(parts) => parts
-                .iter()
-                .map(|p| self.execute(p, start, seed))
-                .fold(start, f64::max),
-            Composite::Choice {
-                condition,
-                then_branch,
-                else_branch,
-            } => {
-                let t = self.invoke(*condition, start);
-                let pick_then = (seed ^ *condition as u64).count_ones().is_multiple_of(2);
-                if pick_then {
-                    self.execute(then_branch, t, seed)
-                } else {
-                    self.execute(else_branch, t, seed)
-                }
-            }
-        }
-    }
-}
-
 /// The canonical demo workflow: prepare, fan out map tasks, reduce.
 pub fn map_reduce_workflow(mappers: usize) -> Composite {
     Composite::Sequence(vec![
@@ -357,58 +262,5 @@ mod tests {
         let e = engine();
         let wf = map_reduce_workflow(4);
         assert_eq!(e.execute(&wf, 9), e.execute(&wf, 9));
-    }
-
-    #[test]
-    fn session_pays_cold_starts_once() {
-        // First run boots every fan-out instance; an immediate second run
-        // reuses them all.
-        let mut session = PlatformSession::new(registry(), FaasConfig::default());
-        let wf = map_reduce_workflow(8);
-        let first_finish = session.execute(&wf, 0.0, 1);
-        let first_cold = session.cold_starts();
-        let second_finish = session.execute(&wf, first_finish + 1.0, 1);
-        let second_cold = session.cold_starts() - first_cold;
-        assert_eq!(first_cold, 10, "prepare + 8 maps + reduce all cold");
-        assert_eq!(second_cold, 0, "warm reuse on the second run");
-        let first_dur = first_finish;
-        let second_dur = second_finish - (first_finish + 1.0);
-        assert!(
-            second_dur < first_dur,
-            "warm run {second_dur} should beat cold run {first_dur}"
-        );
-    }
-
-    #[test]
-    fn keep_alive_expiry_recolds_the_session() {
-        let cfg = FaasConfig {
-            keep_alive: 5.0,
-            ..FaasConfig::default()
-        };
-        let mut session = PlatformSession::new(registry(), cfg);
-        let wf = map_reduce_workflow(4);
-        let f1 = session.execute(&wf, 0.0, 1);
-        let cold_before = session.cold_starts();
-        session.execute(&wf, f1 + 100.0, 1);
-        assert_eq!(
-            session.cold_starts(),
-            cold_before * 2,
-            "everything expired and re-cold-started"
-        );
-    }
-
-    #[test]
-    fn parallel_fanout_needs_parallel_instances() {
-        // Sequential invocations of the same function reuse one instance;
-        // a parallel fan-out of the same size needs one instance each.
-        let mut seq_session = PlatformSession::new(registry(), FaasConfig::default());
-        let seq = Composite::Sequence((0..6).map(|_| Composite::Task(1)).collect());
-        seq_session.execute(&seq, 0.0, 1);
-        assert_eq!(seq_session.cold_starts(), 1);
-
-        let mut par_session = PlatformSession::new(registry(), FaasConfig::default());
-        let par = Composite::Parallel((0..6).map(|_| Composite::Task(1)).collect());
-        par_session.execute(&par, 0.0, 1);
-        assert_eq!(par_session.cold_starts(), 6);
     }
 }
